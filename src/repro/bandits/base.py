@@ -45,16 +45,40 @@ class CapacityEstimator(ABC):
         """
 
     def estimate_batch(self, contexts: np.ndarray, broker_ids: np.ndarray | None = None) -> np.ndarray:
-        """Vectorized convenience: one capacity per context row."""
-        contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
-        if broker_ids is None:
-            broker_ids = np.arange(contexts.shape[0])
+        """Vectorized convenience: one capacity per context row.
+
+        Estimates run in row order, so a stateful estimator sees the same
+        sequence of calls as a per-broker loop.  ``broker_ids`` defaults to
+        the row indices and must have one entry per context row.
+        """
+        contexts, broker_ids = batch_arguments(contexts, broker_ids)
         return np.array(
             [
                 self.estimate(context, int(broker_id))
                 for context, broker_id in zip(contexts, broker_ids)
             ]
         )
+
+
+def batch_arguments(
+    contexts: np.ndarray, broker_ids: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validated ``(contexts, broker_ids)`` of an :meth:`~CapacityEstimator.estimate_batch` call.
+
+    Raises:
+        ValueError: when ``broker_ids`` does not have one entry per context
+            row (silently truncating would drop brokers from the day).
+    """
+    contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
+    if broker_ids is None:
+        return contexts, np.arange(contexts.shape[0])
+    broker_ids = np.asarray(broker_ids)
+    if broker_ids.shape != (contexts.shape[0],):
+        raise ValueError(
+            f"broker_ids has shape {broker_ids.shape}, expected one id per "
+            f"context row ({contexts.shape[0]},)"
+        )
+    return contexts, broker_ids
 
 
 class FixedCapacityEstimator(CapacityEstimator):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import perf
-from repro.bandits.base import CapacityEstimator
+from repro.bandits.base import CapacityEstimator, batch_arguments
 from repro.core.config import BanditConfig
 from repro.core.types import TrialTriple, triples_from_state, triples_to_state
 from repro.nn import MLP, Adam
@@ -78,8 +78,8 @@ class NNUCBBandit(CapacityEstimator):
         self.num_train_steps = 0
         # Context-independent tail of every grid arm's feature row
         # ``[x; c/|C|max; onehot]`` — scoring rebuilds only the context part.
-        self._arm_row_tail = np.stack(
-            [self._features(np.empty(0), c) for c in self.capacities]
+        self._arm_row_tail = self.feature_rows(
+            np.empty((self.capacities.size, 0)), self.capacities
         )
         # Decision provenance: while an audit session is active, scoring
         # stashes its (means, bonuses) split here so the chosen arm's
@@ -90,7 +90,11 @@ class NNUCBBandit(CapacityEstimator):
     # Scoring (Eq. 5)
     # ------------------------------------------------------------------
     def _features(self, context: np.ndarray, capacity: float) -> np.ndarray:
-        """Joint input ``[x; c]``: context, scaled capacity, one-hot arm.
+        """Joint input ``[x; c]`` of one trial (see :meth:`feature_rows`)."""
+        return self.feature_rows(np.asarray(context, dtype=float)[None, :], [capacity])[0]
+
+    def feature_rows(self, contexts: np.ndarray, arms) -> np.ndarray:
+        """Joint inputs ``[x; c/|C|max; onehot]``, one row per ``(context, arm)`` pair.
 
         The scalar alone gets smoothed away during training — it is one
         feature among dozens and the reward's dependence on it is a small
@@ -98,11 +102,25 @@ class NNUCBBandit(CapacityEstimator):
         pins to an endpoint.  A one-hot of the nearest grid arm gives every
         arm its own first-layer weights, making per-arm reward levels
         trivially expressible while the scalar keeps the ordinal structure.
+
+        Args:
+            contexts: ``(n, context_dim)`` working-status rows.
+            arms: ``n`` capacity values (grid arms or realized workloads).
         """
-        onehot = np.zeros(self.capacities.size)
-        onehot[int(np.argmin(np.abs(self.capacities - capacity)))] = 1.0
+        contexts = np.asarray(contexts, dtype=float)
+        arms = np.asarray(arms, dtype=float)
+        nearest = np.argmin(np.abs(self.capacities[None, :] - arms[:, None]), axis=1)
+        onehot = np.zeros((arms.size, self.capacities.size))
+        onehot[np.arange(arms.size), nearest] = 1.0
         return np.concatenate(
-            [np.asarray(context, dtype=float), [capacity / self._cap_norm], onehot]
+            [contexts, (arms / self._cap_norm)[:, None], onehot], axis=1
+        )
+
+    def history_rows(self, triples) -> np.ndarray:
+        """Feature rows of observed trials, each at its recorded arm input."""
+        return self.feature_rows(
+            np.stack([t.context for t in triples]),
+            [float(t.workload) for t in triples],
         )
 
     def arm_feature_rows(self, context: np.ndarray) -> np.ndarray:
@@ -150,25 +168,24 @@ class NNUCBBandit(CapacityEstimator):
             values = (gradients**2 / self._d_diag).sum(axis=1)
         return np.sqrt(np.maximum(values, 0.0))
 
-    def ucb_scores(self, context: np.ndarray) -> np.ndarray:
-        """Upper confidence bound of every candidate capacity (Eq. 5).
+    def arm_bonuses(self, rows: np.ndarray) -> np.ndarray:
+        """Exploration bonus of each ``(input_dim,)`` row of ``rows``.
 
-        The fast kernel computes every arm's parameter gradient in one
+        The fast kernel computes every row's parameter gradient in one
         batched pass (:meth:`repro.nn.MLP.param_gradients`); the reference
-        kernel is the original per-arm loop, kept as the differential
+        kernel is the original per-row loop, kept as the differential
         oracle (:mod:`repro.perf`).
         """
-        means = self.predicted_rewards(context)
-        rows = self.arm_feature_rows(context)
         if perf.fast_kernels_enabled():
-            bonuses = self.exploration_bonuses(self.network.param_gradients(rows))
-        else:
-            bonuses = np.array(
-                [
-                    self.exploration_bonus(self.network.param_gradient(row))
-                    for row in rows
-                ]
-            )
+            return self.exploration_bonuses(self.network.param_gradients(rows))
+        return np.array(
+            [self.exploration_bonus(self.network.param_gradient(row)) for row in rows]
+        )
+
+    def ucb_scores(self, context: np.ndarray) -> np.ndarray:
+        """Upper confidence bound of every candidate capacity (Eq. 5)."""
+        means = self.predicted_rewards(context)
+        bonuses = self.arm_bonuses(self.arm_feature_rows(context))
         if obs_audit.current() is not None:
             self.last_score_parts = (means, bonuses)
         return means + self.config.alpha * bonuses
@@ -251,6 +268,74 @@ class NNUCBBandit(CapacityEstimator):
         self._update_covariance(gradient)
         return capacity
 
+    # ------------------------------------------------------------------
+    # Day-batched estimation (Alg. 2 lines 1-2)
+    # ------------------------------------------------------------------
+    #: Brokers per stacked pass in :meth:`estimate_batch`.  Bounds the
+    #: pass's memory however many brokers a day holds: about 3 MB at the
+    #: paper's 82-64-16-1 network (256 brokers would take 24 MB), and the
+    #: per-broker loop, not the pass, sets the speed at any chunk size.
+    estimate_chunk = 32
+
+    def day_batched(self) -> bool:
+        """Whether :meth:`estimate_batch` scores a day in stacked passes.
+
+        Needs the fast kernels, the diagonal covariance (whose bonus splits
+        per layer) and the UCB scoring rule itself — a subclass that
+        re-scores (Thompson's noise draws) keeps the per-broker loop.
+        """
+        return (
+            perf.fast_kernels_enabled()
+            and self._d_diag is not None
+            and type(self).ucb_scores is NNUCBBandit.ucb_scores
+        )
+
+    def estimate_batch(
+        self, contexts: np.ndarray, broker_ids: np.ndarray | None = None
+    ) -> np.ndarray:
+        """One capacity per context row, identical to the per-broker loop.
+
+        The network is frozen until ``end_day``, so every broker's arm
+        means and gradient factors come from one stacked pass per chunk of
+        :attr:`estimate_chunk` brokers (:class:`FrozenArmScores`).  What
+        stays sequential — the coverage / epsilon rules and their RNG
+        draws, the argmax, the audit note and the ``D`` update that the
+        next broker's bonus depends on — runs per broker on those rows.
+        Capacities, ``D``, the pull counts and the RNG stream are
+        bit-identical to :meth:`estimate` in a loop; the bonuses agree to
+        round-off (:data:`repro.check.differential.BATCHED_BONUS_RTOL`).
+        """
+        contexts, broker_ids = batch_arguments(contexts, broker_ids)
+        if not self.day_batched():
+            return super().estimate_batch(contexts, broker_ids)
+        return self.estimate_frozen(contexts, broker_ids, self._estimate_row)
+
+    def estimate_frozen(self, contexts: np.ndarray, broker_ids: np.ndarray, estimate_row) -> np.ndarray:
+        """Run ``estimate_row(scores, i, broker_id)`` per broker over chunked stacked passes."""
+        capacities = np.empty(contexts.shape[0])
+        for start in range(0, contexts.shape[0], self.estimate_chunk):
+            scores = FrozenArmScores(self, contexts[start : start + self.estimate_chunk])
+            for offset in range(scores.size):
+                capacities[start + offset] = estimate_row(
+                    scores, offset, int(broker_ids[start + offset])
+                )
+        return capacities
+
+    def _estimate_row(self, scores: "FrozenArmScores", index: int, broker_id: int) -> float:
+        """:meth:`estimate` for row ``index`` of a stacked pass."""
+        chosen, rule = self._pick_explain(lambda _context: scores.ucb_scores(index), None)
+        return self._commit_row(scores, index, broker_id, chosen, rule)
+
+    def _commit_row(
+        self, scores: "FrozenArmScores", index: int, broker_id: int, chosen: int, rule: str
+    ) -> float:
+        """Audit note, pull count and ``D`` update of one batched choice."""
+        capacity = float(self.capacities[chosen])
+        self._note_choice(broker_id, chosen, capacity, rule)
+        self._arm_pulls[chosen] += 1
+        scores.update_covariance(index, chosen)
+        return capacity
+
     def _update_covariance(self, gradient: np.ndarray) -> None:
         """``D <- D + g g^T`` (diagonal: ``D <- D + g*g``)."""
         if self._d_inv is not None:
@@ -309,12 +394,7 @@ class NNUCBBandit(CapacityEstimator):
 
         picked = self._stratified_sample()
         sample_size = picked.size
-        rows = np.stack(
-            [
-                self._features(self._replay[i].context, float(self._replay[i].workload))
-                for i in picked
-            ]
-        )
+        rows = self.history_rows([self._replay[i] for i in picked])
         targets = np.array([self._replay[i].reward for i in picked])
         batch = self.config.minibatch
         for _ in range(self.config.train_epochs):
@@ -415,3 +495,89 @@ class NNUCBBandit(CapacityEstimator):
     def theorem1_parameters(self) -> tuple[int, int, float]:
         """``(L, |C|, xi)`` feeding the Theorem 1 regret bound."""
         return self.network.depth, int(self.capacities.size), self.network.max_singular_value()
+
+
+class FrozenArmScores:
+    """Every arm of a chunk of brokers, scored by one pass of the frozen network.
+
+    Holds the stacked means and per-row gradient factors of
+    :meth:`repro.nn.MLP.stacked_pass` over the brokers' ``(|C|,
+    input_dim)`` arm rows.  The exploration bonus reads the bandit's
+    *current* diagonal ``D`` at call time, layer by layer,
+
+        bonus^2 = sum_l (delta_l^2) . (D_l^-1 a_{l-1}^2) + delta_l^2 . D_{b,l}^-1
+
+    so the ``(|C|, d)`` gradient matrix is never built (the bonus agrees
+    with the per-broker one to round-off); and :meth:`update_covariance`
+    adds the chosen row's squared gradient — bitwise the
+    ``param_gradient`` entries — into ``D``.
+    """
+
+    def __init__(self, bandit: NNUCBBandit, contexts: np.ndarray) -> None:
+        self.bandit = bandit
+        self.size, arms = contexts.shape[0], bandit.capacities.size
+        rows = np.concatenate(
+            [
+                np.broadcast_to(contexts[:, None, :], (self.size, arms, contexts.shape[1])),
+                np.broadcast_to(bandit._arm_row_tail, (self.size, *bandit._arm_row_tail.shape)),
+            ],
+            axis=2,
+        )
+        self.means, self._inputs, self._deltas = bandit.network.stacked_pass(rows)
+        self._inputs_sq = [a * a for a in self._inputs]
+        self._deltas_sq = [d * d for d in self._deltas]
+        self._arms = arms
+        self._auditing = obs_audit.current() is not None
+        # Per-layer (weight, bias) views into D and into a scratch D^-1,
+        # in grad_vector order; D is never replaced while a day is scored.
+        d_diag = bandit._d_diag
+        self._inverse = np.empty_like(d_diag)
+        self._d_views, self._inverse_views, self._outer = [], [], []
+        offset = 0
+        for layer in bandit.network.layers:
+            w_end = offset + layer.weight.size
+            b_end = w_end + layer.bias.size
+            shape = layer.weight.shape
+            self._d_views.append((d_diag[offset:w_end].reshape(shape), d_diag[w_end:b_end]))
+            self._inverse_views.append(
+                (self._inverse[offset:w_end].reshape(shape), self._inverse[w_end:b_end])
+            )
+            self._outer.append(np.empty(shape))
+            offset = b_end
+
+    def bonuses(self, index: int) -> np.ndarray:
+        """``sqrt(g^T D^-1 g)`` of every arm of broker ``index`` under the current ``D``."""
+        rows = slice(index * self._arms, (index + 1) * self._arms)
+        np.divide(1.0, self.bandit._d_diag, out=self._inverse)
+        total = np.zeros(self._arms)
+        for (weights, bias), a_sq, d_sq in zip(self._inverse_views, self._inputs_sq, self._deltas_sq):
+            d_sq = d_sq[rows]
+            total += ((d_sq @ weights) * a_sq[rows]).sum(axis=1)
+            total += d_sq @ bias
+        return np.sqrt(np.maximum(total, 0.0))
+
+    def ucb_scores(self, index: int, correction: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`NNUCBBandit.ucb_scores` of broker ``index`` (means plus ``correction``)."""
+        means = self.means[index]
+        if correction is not None:
+            means = means + correction
+        bonuses = self.bonuses(index)
+        if self._auditing:
+            self.bandit.last_score_parts = (means, bonuses)
+        return means + self.bandit.config.alpha * bonuses
+
+    def update_covariance(self, index: int, arm: int) -> None:
+        """``D <- D + g*g`` with ``g`` the gradient of broker ``index``'s arm ``arm``.
+
+        Entry for entry the arithmetic of squaring the
+        :meth:`~repro.nn.MLP.param_gradient` vector: each weight entry is
+        the single product ``delta_o * a_j``, each bias entry ``delta_o``.
+        """
+        row = index * self._arms + arm
+        for (weights, bias), outer, inputs, deltas, deltas_sq in zip(
+            self._d_views, self._outer, self._inputs, self._deltas, self._deltas_sq
+        ):
+            np.multiply(deltas[row][:, None], inputs[row], out=outer)
+            np.multiply(outer, outer, out=outer)
+            weights += outer
+            bias += deltas_sq[row]

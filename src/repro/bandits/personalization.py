@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import perf
-from repro.bandits.base import CapacityEstimator
-from repro.bandits.neural_ucb import NNUCBBandit
+from repro.bandits.base import CapacityEstimator, batch_arguments
+from repro.bandits.neural_ucb import FrozenArmScores, NNUCBBandit
 from repro.core.types import TrialTriple, triples_from_state, triples_to_state
 from repro.obs import audit as obs_audit
 from repro.state.protocol import expect, versioned
@@ -112,17 +111,7 @@ class PersonalizedCapacityEstimator(CapacityEstimator):
         else:
             means = self.base.network.predict(rows)
             means = means + self._residual_correction(broker_id)
-        if perf.fast_kernels_enabled():
-            bonuses = self.base.exploration_bonuses(
-                self.base.network.param_gradients(rows)
-            )
-        else:
-            bonuses = np.array(
-                [
-                    self.base.exploration_bonus(self.base.network.param_gradient(row))
-                    for row in rows
-                ]
-            )
+        bonuses = self.base.arm_bonuses(rows)
         if obs_audit.current() is not None:
             self.base.last_score_parts = (means, bonuses)
         return means + self.base.config.alpha * bonuses
@@ -132,9 +121,7 @@ class PersonalizedCapacityEstimator(CapacityEstimator):
         history = self._history.get(broker_id, ())
         if len(history) < self.min_triples:
             return np.zeros(self.base.capacities.size)
-        rows = np.stack(
-            [self.base._features(t.context, float(t.workload)) for t in history]
-        )
+        rows = self.base.history_rows(history)
         residuals = np.array([t.reward for t in history]) - self.base.network.predict(rows)
         arms = np.array([float(t.workload) for t in history])
         # Gaussian kernel weights of each own-trial arm against each grid arm.
@@ -151,11 +138,7 @@ class PersonalizedCapacityEstimator(CapacityEstimator):
             return self.base.estimate(context, broker_id)
         pulls = self._pull_count.get(broker_id, 0)
         if pulls < self.personal_explore:
-            self._pull_count[broker_id] = pulls + 1
-            quantile = EXPLORE_QUANTILES[pulls]
-            chosen = int(round(quantile * (self.base.capacities.size - 1)))
-            rule = "personal-explore"
-            self.base.last_score_parts = None  # never scored on this path
+            chosen, rule = self._explore_arm(broker_id, pulls)
         elif len(self._history.get(broker_id, ())) < self.min_triples:
             return self.base.estimate(context, broker_id)
         else:
@@ -174,6 +157,46 @@ class PersonalizedCapacityEstimator(CapacityEstimator):
             )
         )
         return float(self.base.capacities[chosen])
+
+    def _explore_arm(self, broker_id: int, pulls: int) -> tuple[int, str]:
+        """The broker's next structured-exploration arm (consumes no randomness)."""
+        self._pull_count[broker_id] = pulls + 1
+        quantile = EXPLORE_QUANTILES[pulls]
+        self.base.last_score_parts = None  # never scored on this path
+        return int(round(quantile * (self.base.capacities.size - 1))), "personal-explore"
+
+    def estimate_batch(
+        self, contexts: np.ndarray, broker_ids: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Day-batched :meth:`estimate`, routed per broker id.
+
+        Same contract as :meth:`NNUCBBandit.estimate_batch`: one stacked
+        pass of the frozen base network per chunk, then the routing
+        (structured exploration, cold-start fallback to the shared model,
+        residual-corrected UCB) per broker in row order.  The ``"linear"``
+        mode keeps the per-broker loop: its brokers score on private heads.
+        """
+        contexts, broker_ids = batch_arguments(contexts, broker_ids)
+        if self.mode == "linear" or not self.base.day_batched():
+            return super().estimate_batch(contexts, broker_ids)
+        return self.base.estimate_frozen(contexts, broker_ids, self._estimate_row)
+
+    def _estimate_row(self, scores: FrozenArmScores, index: int, broker_id: int) -> float:
+        pulls = self._pull_count.get(broker_id, 0)
+        if pulls < self.personal_explore:
+            chosen, rule = self._explore_arm(broker_id, pulls)
+        elif len(self._history.get(broker_id, ())) < self.min_triples:
+            return self.base._estimate_row(scores, index, broker_id)
+        else:
+            chosen, rule = self.base._pick_explain(
+                lambda _context: scores.ucb_scores(
+                    index, self._residual_correction(broker_id)
+                ),
+                None,
+            )
+            if rule == "ucb":
+                rule = "personal-ucb"
+        return self.base._commit_row(scores, index, broker_id, chosen, rule)
 
     # ------------------------------------------------------------------
     # Feedback
@@ -247,10 +270,7 @@ class PersonalizedCapacityEstimator(CapacityEstimator):
         """Anchored ridge refit of the last layer (the ``"linear"`` mode)."""
         last = self.base.network.layers[-1]
         anchor = np.concatenate([last.weight[0], last.bias])
-        rows = np.stack(
-            [self.base._features(t.context, float(t.workload)) for t in history]
-        )
-        features = self.base.network.hidden_features(rows)
+        features = self.base.network.hidden_features(self.base.history_rows(history))
         design = np.hstack([features, np.ones((features.shape[0], 1))])
         targets = np.array([t.reward for t in history])
         gram = design.T @ design + self.anchor_strength * np.eye(design.shape[1])

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import perf
 from repro.bandits.neural_ucb import NNUCBBandit
 from repro.core.config import BanditConfig
 
@@ -41,16 +40,7 @@ class NeuralThompsonBandit(NNUCBBandit):
         applies unchanged.
         """
         means = self.predicted_rewards(context)
-        rows = self.arm_feature_rows(context)
-        if perf.fast_kernels_enabled():
-            deviations = self.exploration_bonuses(self.network.param_gradients(rows))
-        else:
-            deviations = np.array(
-                [
-                    self.exploration_bonus(self.network.param_gradient(row))
-                    for row in rows
-                ]
-            )
+        deviations = self.arm_bonuses(self.arm_feature_rows(context))
         noise = self._rng.normal(0.0, 1.0, size=self.capacities.size)
         return means + self.config.alpha * deviations * noise
 

@@ -28,6 +28,10 @@ The agreements checked:
   :func:`repro.core.selection.topk_selection_mask`).
 * batched MLP scoring (``param_gradients`` + vectorized exploration
   bonus) vs the per-sample reference path, to floating-point round-off.
+* day-batched capacity estimation (``estimate_batch`` on one stacked pass
+  of the frozen network) vs the per-broker ``estimate`` loop: equal
+  capacities, bit-identical covariance / pull counts / RNG state, and
+  equal audit notes with the bonus inside :data:`BATCHED_BONUS_RTOL`.
 """
 
 from __future__ import annotations
@@ -273,3 +277,150 @@ def assert_batched_scoring_matches(case: tuple) -> None:
             f"batched exploration bonus deviates from per-sample path on "
             f"layers {layer_sizes}: {batched_bonus!r} vs {reference_bonus!r}"
         )
+
+
+#: Relative tolerance of the day-batched exploration bonus against the
+#: per-broker one.  The batched bonus sums ``(delta^2 . D^-1 a^2)`` layer
+#: by layer from the arms-stacked pass instead of reducing each arm's
+#: squared gradient vector, so it differs in the last bits (measured
+#: <= 4.7e-16 relative at the paper's network); everything else the
+#: day-batched path produces — capacities, means, ``D``, pulls, RNG — is
+#: compared bit for bit.
+BATCHED_BONUS_RTOL = 1e-12
+
+
+class _NoteRecorder:
+    """Audit-session stand-in collecting ``note_capacity`` calls verbatim."""
+
+    def __init__(self) -> None:
+        self.notes: list[tuple] = []
+
+    def note_capacity(self, broker_id, capacity, rule, mean=None, bonus=None) -> None:
+        self.notes.append((broker_id, capacity, rule, mean, bonus))
+
+
+def _estimation_estimator(case: dict):
+    """A fresh estimator for an estimation case (same seed, same state)."""
+    from repro.bandits import (
+        NeuralThompsonBandit,
+        NNUCBBandit,
+        PersonalizedCapacityEstimator,
+    )
+    from repro.core.config import BanditConfig
+
+    kind = case["kind"]
+    config = BanditConfig(
+        candidate_capacities=np.arange(1, case["arms"] + 1) * 4.0,
+        hidden_sizes=case["hidden"],
+        alpha=0.5,
+        batch_size=4,
+        train_epochs=1,
+        covariance="full" if kind == "full" else "diagonal",
+        min_arm_pulls=case["min_arm_pulls"],
+        epsilon=case["epsilon"],
+        replay_sample=32,
+        minibatch=8,
+    )
+    rng = np.random.default_rng(case["seed"])
+    policy = NeuralThompsonBandit if kind == "thompson" else NNUCBBandit
+    base = policy(case["context_dim"], config, rng)
+    base.estimate_chunk = case["chunk"]
+    if kind in ("personalized", "linear"):
+        return PersonalizedCapacityEstimator(
+            base,
+            min_triples=case["min_triples"],
+            mode="linear" if kind == "linear" else "residual",
+            personal_explore=case["personal_explore"],
+        )
+    return base
+
+
+def _estimation_state(estimator) -> dict:
+    """The state ``estimate`` mutates, for bit-exact comparison."""
+    from repro.state.protocol import rng_state
+
+    base = getattr(estimator, "base", estimator)
+    return {
+        "d_diag": base._d_diag,
+        "d_inv": base._d_inv,
+        "arm_pulls": base._arm_pulls,
+        "pull_count": getattr(estimator, "_pull_count", None),
+        "rng": rng_state(base._rng),
+    }
+
+
+def assert_batched_estimation_matches(case: dict) -> None:
+    """Day-batched ``estimate_batch`` reproduces the per-broker ``estimate`` loop.
+
+    Warms an estimator up for ``case["warm_days"]`` days of estimates and
+    feedback, snapshots it, and from that one snapshot estimates a day
+    twice — batched, and broker by broker in row order — each under an
+    audit recorder.  Capacities, ``D``, arm pulls, personal pull counts
+    and the RNG state must match bit for bit; audit notes must name the
+    same broker, capacity and rule with a bitwise-equal mean and a bonus
+    within :data:`BATCHED_BONUS_RTOL`.
+
+    Args:
+        case: a :func:`repro.check.property.random_estimation_case` dict.
+    """
+    from repro.obs import telemetry as obs_telemetry
+
+    data = np.random.default_rng(case["seed"] + 1)
+    ids = np.asarray(case["broker_ids"], dtype=int)
+    arms = np.arange(1, case["arms"] + 1) * 4.0
+    warm = _estimation_estimator(case)
+    for _ in range(case["warm_days"]):
+        contexts = data.normal(size=(ids.size, case["context_dim"]))
+        chosen = warm.estimate_batch(contexts, ids)
+        for context, broker_id, capacity in zip(contexts, ids, chosen):
+            workload = float(data.integers(0, int(arms.max()) + 1))
+            warm.update(context, workload, float(data.random()), int(broker_id), capacity)
+    snapshot = warm.snapshot()
+    contexts = data.normal(size=(ids.size, case["context_dim"]))
+
+    runs = []
+    for batched in (True, False):
+        estimator = _estimation_estimator(case)
+        estimator.restore(snapshot)
+        recorder = _NoteRecorder()
+        telemetry = obs_telemetry.Telemetry()
+        telemetry.audit_session = recorder
+        with obs_telemetry.use(telemetry):
+            if batched:
+                capacities = estimator.estimate_batch(contexts, ids)
+            else:
+                capacities = np.array(
+                    [estimator.estimate(c, int(b)) for c, b in zip(contexts, ids)]
+                )
+        runs.append((capacities, _estimation_state(estimator), recorder.notes))
+    (batch_caps, batch_state, batch_notes), (loop_caps, loop_state, loop_notes) = runs
+
+    where = f"{case['kind']} case (seed {case['seed']}, {case['warm_days']} warm days)"
+    if not np.array_equal(batch_caps, loop_caps):
+        raise AssertionError(
+            f"batched capacities {batch_caps!r} != per-broker {loop_caps!r} in {where}"
+        )
+    for key in ("d_diag", "d_inv", "arm_pulls"):
+        a, b = batch_state[key], loop_state[key]
+        if (a is None) != (b is None) or (a is not None and not np.array_equal(a, b)):
+            raise AssertionError(f"batched {key} is not bitwise the per-broker one in {where}")
+    for key in ("pull_count", "rng"):
+        if batch_state[key] != loop_state[key]:
+            raise AssertionError(f"batched {key} differs from the per-broker one in {where}")
+    if len(batch_notes) != len(loop_notes):
+        raise AssertionError(
+            f"{len(batch_notes)} batched audit notes != {len(loop_notes)} per-broker in {where}"
+        )
+    for batch_note, loop_note in zip(batch_notes, loop_notes):
+        if batch_note[:4] != loop_note[:4]:
+            raise AssertionError(
+                f"batched audit note {batch_note!r} != per-broker {loop_note!r} in {where}"
+            )
+        a, b = batch_note[4], loop_note[4]
+        if (a is None) != (b is None) or (
+            a is not None and abs(a - b) > BATCHED_BONUS_RTOL * abs(b)
+        ):
+            raise AssertionError(
+                f"batched bonus {a!r} vs per-broker {b!r} exceeds rtol "
+                f"{BATCHED_BONUS_RTOL} in {where}"
+            )

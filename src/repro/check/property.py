@@ -251,6 +251,38 @@ def random_mlp_case(
     return layer_sizes, inputs, int(rng.integers(0, 2**31))
 
 
+def random_estimation_case(rng: np.random.Generator) -> dict:
+    """A day-batched capacity-estimation case (plain data, replayable).
+
+    Spans every routing regime of ``estimate_batch``: the cold-start
+    coverage phase (no warm-up days), epsilon draws, personalized
+    structured exploration and residual-corrected UCB past
+    ``min_triples``, and each per-broker fallback (``"full"`` covariance,
+    ``"linear"`` personalization, Thompson sampling).  ``chunk`` splits
+    the day across several stacked passes.
+    """
+    kind = str(
+        rng.choice(["nnucb", "personalized", "personalized", "full", "linear", "thompson"])
+    )
+    brokers = int(rng.integers(1, 11))
+    return {
+        "kind": kind,
+        "context_dim": int(rng.integers(1, 6)),
+        "arms": int(rng.integers(2, 8)),
+        "hidden": tuple(
+            int(rng.integers(1, 13)) for _ in range(int(rng.integers(1, 3)))
+        ),
+        "epsilon": float(rng.choice([0.0, 0.2, 0.6])),
+        "min_arm_pulls": int(rng.integers(0, 4)),
+        "min_triples": int(rng.integers(1, 4)),
+        "personal_explore": int(rng.integers(0, 5)),
+        "warm_days": int(rng.integers(0, 8)),
+        "broker_ids": rng.permutation(2 * brokers)[:brokers],
+        "chunk": int(rng.integers(1, brokers + 2)),
+        "seed": int(rng.integers(0, 2**31)),
+    }
+
+
 def random_perturbation_sequence(
     rng: np.random.Generator,
     max_rows: int = 8,

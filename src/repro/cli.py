@@ -29,11 +29,14 @@ Output discipline: result tables go to **stdout**; everything diagnostic
 (progress, destinations, warnings) goes through :mod:`repro.obs.logging`
 to **stderr**, so ``repro compare | tee results.txt`` captures exactly the
 tables.  ``-v`` raises verbosity to DEBUG, ``-q`` lowers it to WARNING.
+Option values a config rejects (``compare --brokers 0``, ``serve
+--max-wait 0``) exit with code 2 and one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 
 import numpy as np
@@ -130,8 +133,21 @@ def _add_checkpoint_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class UsageError(Exception):
+    """Invalid option values: reported as one ``error:`` line, exit code 2."""
+
+
+def _validated(factory, **kwargs):
+    """Build a config object, turning its validation ``ValueError`` into a :class:`UsageError`."""
+    try:
+        return factory(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _config_from(args: argparse.Namespace) -> SyntheticConfig:
-    return SyntheticConfig(
+    return _validated(
+        SyntheticConfig,
         num_brokers=args.brokers,
         num_requests=args.requests,
         num_days=args.days,
@@ -319,7 +335,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
 
     platform_spec = PlatformSpec.synthetic(_config_from(args))
     max_wait = args.max_wait if args.max_wait is not None else args.window_seconds
-    policy = MicroBatchPolicy(max_wait=max_wait, max_size=args.max_size)
+    policy = _validated(MicroBatchPolicy, max_wait=max_wait, max_size=args.max_size)
     rows = []
     for name in args.algorithms:
         platform = platform_spec.build()
@@ -881,10 +897,14 @@ def main(argv: list[str] | None = None) -> None:
         parser.error("--audit requires --telemetry DIR")
     if getattr(args, "audit_sample", 1) < 1:
         parser.error("--audit-sample must be >= 1")
-    if getattr(args, "check", False):
-        _run_with_checks(args)
-    else:
-        _dispatch(args)
+    try:
+        if getattr(args, "check", False):
+            _run_with_checks(args)
+        else:
+            _dispatch(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _dispatch(args: argparse.Namespace) -> None:

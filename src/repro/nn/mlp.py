@@ -13,12 +13,21 @@ NN-enhanced UCB policy (Eq. 5) needs the flattened per-sample gradient
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.nn.layers import Dense
 from repro.nn.losses import l2_penalty, mse_loss
 from repro.state.protocol import StateError, expect, versioned
+
+
+class StackedPass(NamedTuple):
+    """Result of :meth:`MLP.stacked_pass` (see there for the shapes)."""
+
+    means: np.ndarray
+    inputs: list[np.ndarray]
+    deltas: list[np.ndarray]
 
 
 class MLP:
@@ -213,6 +222,66 @@ class MLP:
             chunks.append(grad_weight)
             chunks.append(grad_bias)
         return np.concatenate(chunks, axis=1)
+
+    def stacked_pass(self, x: np.ndarray) -> StackedPass:
+        """Outputs and per-row gradient factors of a ``(groups, rows, input_dim)`` block.
+
+        One pass of the network over many groups of rows, laid out so every
+        number is *bit-identical* to the per-call paths: ``np.matmul`` over
+        a leading stack axis issues the same BLAS call per slice as an
+        unstacked call of the slice's shape, whereas one flat GEMM over all
+        rows may associate its reductions differently.  So the means come
+        from a ``(groups, rows, ·)`` stack (each slice is the batch
+        :meth:`predict` sees) and the gradient factors from a
+        ``(groups * rows, 1, ·)`` stack (each slice is the single row
+        :meth:`param_gradient` sees).
+
+        The per-sample gradient is never materialized: row ``r``'s gradient
+        is, layer by layer, the outer product ``deltas[l][r] (x)
+        inputs[l][r]`` (weights) followed by ``deltas[l][r]`` (bias) —
+        exactly the entries :meth:`param_gradient` returns.
+
+        Returns:
+            ``StackedPass(means, inputs, deltas)``: ``means`` is
+            ``(groups, rows)``; ``inputs[l]`` is ``(groups * rows, fan_in)``
+            and ``deltas[l]`` is ``(groups * rows, fan_out)`` for layer ``l``.
+        """
+        if self.output_dim != 1:
+            raise ValueError("stacked_pass requires a scalar-output network")
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 3 or x.shape[2] != self.input_dim:
+            raise ValueError(
+                f"expected input of shape (groups, rows, {self.input_dim}), got {x.shape}"
+            )
+        out = x
+        for layer in self.layers[:-1]:
+            out = out @ layer.weight.T + layer.bias
+            out = out * (out > 0.0)
+        last = self.layers[-1]
+        means = (out @ last.weight.T + last.bias)[..., 0]
+
+        single = x.reshape(-1, 1, self.input_dim)
+        inputs = [single]
+        masks: list[np.ndarray] = []
+        out = single
+        for layer in self.layers[:-1]:
+            out = out @ layer.weight.T + layer.bias
+            mask = out > 0.0
+            masks.append(mask)
+            out = out * mask
+            inputs.append(out)
+        deltas: list[np.ndarray] = []
+        grad = np.ones((single.shape[0], 1, 1))
+        for index in range(self.depth - 1, -1, -1):
+            deltas.append(grad)
+            if index > 0:
+                grad = (grad @ self.layers[index].weight) * masks[index - 1]
+        deltas.reverse()
+        return StackedPass(
+            means,
+            [a[:, 0, :] for a in inputs],
+            [d[:, 0, :] for d in deltas],
+        )
 
     # ------------------------------------------------------------------
     # Training helpers

@@ -14,10 +14,13 @@ Both now ship in two implementations:
 
 Both kernels consume no randomness, so a seeded run is bit-identical in
 either mode (CBS selection sets are *exactly* equal; UCB scores agree to
-floating-point round-off, which the differential suites bound, and the
-covariance update always uses the per-sample gradient so the bandit state
-evolves identically).  ``benchmarks/test_hotpath.py`` enforces both the
-equivalence and the speedup.
+floating-point round-off, which the differential suites bound).  The
+covariance update always adds a gradient that is bit for bit the
+per-sample one: ``param_gradient`` in the per-broker loop, and a
+row-shaped stacked pass (:meth:`repro.nn.MLP.stacked_pass`) in the
+day-batched ``estimate_batch`` that the fast kernels enable — so the
+bandit state evolves identically.  ``benchmarks/test_hotpath.py``
+enforces both the equivalence and the speedup.
 
 The switch is process-wide.  :func:`set_fast_kernels` flips it in-process;
 the ``REPRO_REFERENCE_KERNELS=1`` environment variable flips it at import

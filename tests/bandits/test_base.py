@@ -47,3 +47,14 @@ def test_estimate_batch_passes_broker_ids(rng):
     spy = Spy(10.0)
     spy.estimate_batch(rng.normal(size=(3, 2)), broker_ids=np.array([5, 6, 7]))
     assert calls == [5, 6, 7]
+
+
+@pytest.mark.parametrize("bandit_kind", ["fixed", "nnucb"])
+def test_estimate_batch_rejects_mismatched_broker_ids(rng, bandit_kind):
+    """4 contexts with 2 ids used to be truncated silently to 2 capacities."""
+    if bandit_kind == "fixed":
+        estimator = FixedCapacityEstimator(10.0)
+    else:
+        estimator = NNUCBBandit(3, BanditConfig(hidden_sizes=(4,)), rng)
+    with pytest.raises(ValueError, match="broker_ids"):
+        estimator.estimate_batch(rng.normal(size=(4, 3)), broker_ids=np.array([0, 1]))

@@ -254,3 +254,75 @@ def test_arm_feature_rows_matches_per_arm_features(rng):
     rows = bandit.arm_feature_rows(context)
     reference = np.stack([bandit._features(context, c) for c in bandit.capacities])
     np.testing.assert_array_equal(rows, reference)
+
+
+def _features_per_row(bandit, context, capacity):
+    """The original one-row feature builder, kept as the bitwise reference."""
+    onehot = np.zeros(bandit.capacities.size)
+    onehot[int(np.argmin(np.abs(bandit.capacities - capacity)))] = 1.0
+    return np.concatenate(
+        [np.asarray(context, dtype=float), [capacity / bandit._cap_norm], onehot]
+    )
+
+
+def test_feature_rows_bitwise_equal_to_per_row_builder(rng):
+    bandit = _bandit(rng, candidate_capacities=np.array([30.0, 10.0, 40.0, 20.0]))
+    contexts = rng.normal(size=(9, 3)) * 10.0 ** rng.integers(-3, 3, size=(9, 1))
+    arms = np.array([10, 20, 30, 40, 0, 15, 25, 47, 33], dtype=float)
+    rows = bandit.feature_rows(contexts, arms)
+    expected = np.stack(
+        [_features_per_row(bandit, c, a) for c, a in zip(contexts, arms)]
+    )
+    np.testing.assert_array_equal(rows, expected)
+    np.testing.assert_array_equal(
+        bandit.arm_feature_rows(contexts[0]),
+        np.stack([_features_per_row(bandit, contexts[0], c) for c in bandit.capacities]),
+    )
+
+
+def _warm(bandit, rng, days=4, brokers=6):
+    for _ in range(days):
+        contexts = rng.normal(size=(brokers, 3))
+        for context, capacity in zip(contexts, bandit.estimate_batch(contexts)):
+            bandit.update(context, float(rng.integers(0, 45)), float(rng.random()), capacity=capacity)
+
+
+def test_estimate_batch_bitwise_matches_per_broker_loop(rng):
+    """Day-batched estimation across several chunks reproduces the loop."""
+    bandit = _bandit(np.random.default_rng(1), batch_size=4, epsilon=0.3)
+    _warm(bandit, rng)
+    bandit.estimate_chunk = 4
+    twin = _bandit(np.random.default_rng(0), batch_size=4, epsilon=0.3)
+    twin.restore(bandit.snapshot())
+    contexts = rng.normal(size=(11, 3))
+    assert bandit.day_batched()
+    batched = bandit.estimate_batch(contexts)
+    looped = np.array([twin.estimate(c, i) for i, c in enumerate(contexts)])
+    np.testing.assert_array_equal(batched, looped)
+    np.testing.assert_array_equal(bandit._d_diag, twin._d_diag)
+    np.testing.assert_array_equal(bandit._arm_pulls, twin._arm_pulls)
+    assert bandit._rng.bit_generator.state == twin._rng.bit_generator.state
+
+
+def test_day_batched_only_on_fast_diagonal_ucb(rng):
+    from repro import perf
+    from repro.bandits import NeuralThompsonBandit
+
+    assert _bandit(rng).day_batched()
+    assert not _bandit(rng, covariance="full").day_batched()
+    config = BanditConfig(candidate_capacities=np.array([10.0, 20.0]), hidden_sizes=(4,))
+    assert not NeuralThompsonBandit(3, config, rng).day_batched()
+    with perf.reference_kernels():
+        assert not _bandit(rng).day_batched()
+
+
+def test_arm_bonuses_fast_and_reference_agree(rng):
+    from repro import perf
+
+    bandit = _bandit(rng)
+    _warm(bandit, rng, days=2)
+    rows = bandit.arm_feature_rows(rng.normal(size=3))
+    fast = bandit.arm_bonuses(rows)
+    with perf.reference_kernels():
+        reference = bandit.arm_bonuses(rows)
+    np.testing.assert_allclose(fast, reference, rtol=1e-12)

@@ -102,3 +102,28 @@ def test_linear_mode_fits_heads(rng):
     assert 4 in estimator._linear_heads
     scores = estimator.personalized_scores(context, 4)
     assert scores.shape == estimator.capacities.shape
+
+
+def test_estimate_batch_routes_by_broker_id(rng):
+    """Batched estimation follows the given ids, not the row positions."""
+    estimator = _estimator(np.random.default_rng(1), min_triples=2, personal_explore=1)
+    ids = np.array([20, 10])
+    for _ in range(4):
+        contexts = rng.normal(size=(2, 3))
+        capacities = estimator.estimate_batch(contexts, ids)
+        for context, broker_id, capacity in zip(contexts, ids, capacities):
+            estimator.update(
+                context, capacity, float(rng.random()), broker_id=int(broker_id), capacity=capacity
+            )
+    assert set(estimator._pull_count) == {10, 20}
+    assert estimator.num_personalized() == 2
+
+    twin = _estimator(np.random.default_rng(0), min_triples=2, personal_explore=1)
+    twin.restore(estimator.snapshot())
+    contexts = rng.normal(size=(3, 3))
+    order = np.array([30, 10, 20])
+    batched = estimator.estimate_batch(contexts, order)
+    looped = [twin.estimate(context, int(b)) for context, b in zip(contexts, order)]
+    assert list(batched) == looped
+    assert estimator._pull_count == twin._pull_count == {10: 1, 20: 1, 30: 1}
+    np.testing.assert_array_equal(estimator.base._d_diag, twin.base._d_diag)

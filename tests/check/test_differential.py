@@ -173,3 +173,81 @@ def test_batched_scoring_assert_catches_broken_batch_path(monkeypatch):
     case = ((4, 8, 1), np.random.default_rng(0).normal(size=(3, 4)), 7)
     with pytest.raises(AssertionError):
         differential.assert_batched_scoring_matches(case)
+
+
+def test_batched_estimation_matches_on_randomized_estimators():
+    count = run_property(
+        differential.assert_batched_estimation_matches,
+        prop.random_estimation_case,
+        num_cases=NUM_CASES,
+        seed=107,
+        name="batched_estimation_matches",
+    )
+    assert count == NUM_CASES
+
+
+def _estimation_case(**overrides):
+    case = {
+        "kind": "personalized",
+        "context_dim": 3,
+        "arms": 5,
+        "hidden": (6, 4),
+        "epsilon": 0.2,
+        "min_arm_pulls": 1,
+        "min_triples": 2,
+        "personal_explore": 2,
+        "warm_days": 6,
+        "broker_ids": np.array([9, 2, 11, 4, 0, 13, 6]),
+        "chunk": 3,
+        "seed": 11,
+    }
+    case.update(overrides)
+    return case
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"kind": "nnucb", "warm_days": 0},  # cold-start coverage phase
+        {"kind": "nnucb", "epsilon": 0.6},
+        {"warm_days": 1},  # personal-explore
+        {},  # residual personalization past min_triples
+        {"chunk": 1},
+        {"kind": "full"},
+        {"kind": "linear"},
+        {"kind": "thompson"},
+    ],
+)
+def test_batched_estimation_matches_each_regime(overrides):
+    differential.assert_batched_estimation_matches(_estimation_case(**overrides))
+
+
+def test_batched_estimation_assert_catches_covariance_drift(monkeypatch):
+    from repro.bandits.neural_ucb import FrozenArmScores
+
+    real = FrozenArmScores.update_covariance
+
+    def drifting(self, index, arm):
+        real(self, index, arm)
+        self.bandit._d_diag[0] += 1e-12
+
+    monkeypatch.setattr(FrozenArmScores, "update_covariance", drifting)
+    with pytest.raises(AssertionError, match="d_diag"):
+        differential.assert_batched_estimation_matches(
+            _estimation_case(kind="nnucb", epsilon=0.0, min_arm_pulls=0)
+        )
+
+
+def test_batched_estimation_assert_catches_bonus_outside_tolerance(monkeypatch):
+    from repro.bandits.neural_ucb import FrozenArmScores
+
+    real = FrozenArmScores.bonuses
+
+    def inflated(self, index):
+        return real(self, index) * (1.0 + 1e-9)
+
+    monkeypatch.setattr(FrozenArmScores, "bonuses", inflated)
+    with pytest.raises(AssertionError, match="bonus"):
+        differential.assert_batched_estimation_matches(
+            _estimation_case(kind="nnucb", epsilon=0.0, min_arm_pulls=0)
+        )

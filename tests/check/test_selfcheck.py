@@ -19,8 +19,8 @@ def test_self_check_runs_clean_on_small_city():
     assert report.violations == []
     assert report.invariants_checked > 0
     assert report.solver_checks > 0
-    # 7 property suites x 25 cases each.
-    assert report.property_cases == 175
+    # 8 property suites x 25 cases each.
+    assert report.property_cases == 200
     assert report.algorithms == ("KM", "LACB-Opt")
 
 

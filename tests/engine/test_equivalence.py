@@ -189,3 +189,39 @@ def test_fast_and_reference_kernels_bit_identical(algorithm):
     np.testing.assert_array_equal(
         fast.broker_peak_workload, reference.broker_peak_workload
     )
+
+
+#: Long enough for LACB's personalized routing to run every branch: days
+#: 0-3 are each broker's structured exploration, own trials accrue from
+#: ``warmup_days`` (day 2), and residual-corrected UCB needs
+#: ``min_triples`` (3) of them — first reached on day 5.
+PAST_WARMUP_CONFIG = SyntheticConfig(
+    num_brokers=30, num_requests=900, num_days=6, imbalance=0.05, seed=42
+)
+
+
+@pytest.mark.parametrize("algorithm", ["AN", "LACB-Opt"])
+def test_fast_and_reference_kernels_bit_identical_past_warmup(algorithm):
+    """Day-batched estimation (fast) ≡ the per-broker loop (reference) over
+    a horizon where the personalized branch runs (LACB-Opt) and the shared
+    NN-UCB bandit is trained repeatedly (AN)."""
+    from repro import perf
+    from repro.state.protocol import state_equal
+
+    def run():
+        platform = generate_city(PAST_WARMUP_CONFIG)
+        matcher = make_matcher(algorithm, platform, seed=7)
+        return run_algorithm(platform, matcher), matcher
+
+    with perf.use_fast_kernels(True):
+        fast, fast_matcher = run()
+    with perf.use_fast_kernels(False):
+        reference, reference_matcher = run()
+    assert fast.total_realized_utility == reference.total_realized_utility
+    assert fast.total_predicted_utility == reference.total_predicted_utility
+    np.testing.assert_array_equal(fast.daily_utility, reference.daily_utility)
+    np.testing.assert_array_equal(fast.broker_workload, reference.broker_workload)
+    np.testing.assert_array_equal(fast.broker_signup, reference.broker_signup)
+    assert state_equal(fast_matcher.snapshot(), reference_matcher.snapshot())
+    if algorithm == "LACB-Opt":
+        assert fast_matcher.estimator.num_personalized() > 0

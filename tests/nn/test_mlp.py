@@ -199,3 +199,37 @@ def test_param_gradients_preserves_training_state(rng):
         np.testing.assert_array_equal(layer.grad_weight, before)
     # backward() must still consume the training forward's caches.
     network.backward(np.ones((5, 1)))
+
+
+def _stacked_row_gradient(passed, row):
+    """Flat gradient of one row of a stacked pass, in grad_vector order."""
+    chunks = []
+    for inputs, deltas in zip(passed.inputs, passed.deltas):
+        chunks.append(np.multiply.outer(deltas[row], inputs[row]).ravel())
+        chunks.append(deltas[row])
+    return np.concatenate(chunks)
+
+
+def test_stacked_pass_is_bitwise_the_per_call_paths(rng):
+    network = MLP([9, 16, 8, 1], rng)
+    for layer in network.layers:
+        layer.bias[:] = rng.normal(size=layer.bias.shape)
+    x = rng.normal(size=(5, 4, 9))
+    passed = network.stacked_pass(x)
+    assert passed.means.shape == (5, 4)
+    for group in range(5):
+        np.testing.assert_array_equal(passed.means[group], network.predict(x[group]))
+    for row, features in enumerate(x.reshape(-1, 9)):
+        np.testing.assert_array_equal(
+            _stacked_row_gradient(passed, row), network.param_gradient(features)
+        )
+
+
+def test_stacked_pass_validates_shape(rng):
+    network = MLP([3, 4, 1], rng)
+    with pytest.raises(ValueError):
+        network.stacked_pass(rng.normal(size=(2, 3)))
+    with pytest.raises(ValueError):
+        network.stacked_pass(rng.normal(size=(2, 2, 4)))
+    with pytest.raises(ValueError):
+        MLP([3, 4, 2], rng).stacked_pass(rng.normal(size=(2, 2, 3)))

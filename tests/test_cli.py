@@ -245,7 +245,7 @@ def test_check_command_writes_report(capsys, tmp_path):
     payload = json.loads((report_dir / "check_report.json").read_text())
     assert payload["ok"] is True
     assert payload["violations"] == []
-    assert payload["property_cases"] == 35  # 7 suites x 5 cases
+    assert payload["property_cases"] == 40  # 8 suites x 5 cases
 
 
 def test_compare_with_check_flag(capsys):
@@ -501,3 +501,21 @@ def test_serve_equivalence_end_to_end(capsys):
     out = capsys.readouterr().out
     assert "case(s) checked" in out
     assert "OK" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "--brokers", "0"], "num_brokers"),
+        (["serve", "--max-wait", "0"], "max_wait must be positive"),
+    ],
+)
+def test_invalid_config_exits_2_with_one_error_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and message in lines[0]
+    assert "Traceback" not in captured.err
