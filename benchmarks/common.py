@@ -13,10 +13,32 @@ checks and prints; absolute numbers differ from the paper's testbed.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 
 from repro.experiments import CityEvaluation, evaluate_city
 from repro.simulation import SyntheticConfig
+
+#: Repository root, where the committed full-scale ``BENCH_*.json`` live.
+ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
+
+#: Git-ignored directory for smoke-scale artifacts, so a smoke run never
+#: overwrites a committed full-scale one.
+SMOKE_RESULT_DIR = os.path.join(ROOT, "bench-smoke")
+
+
+def result_path(name: str, smoke: bool) -> str:
+    """Where a bench writes its ``BENCH_*.json`` artifact ``name``.
+
+    Full-scale runs write to the repository root; smoke runs
+    (``REPRO_BENCH_SMOKE=1``) write to :data:`SMOKE_RESULT_DIR`, created
+    on demand.
+    """
+    if not smoke:
+        return os.path.join(ROOT, name)
+    os.makedirs(SMOKE_RESULT_DIR, exist_ok=True)
+    return os.path.join(SMOKE_RESULT_DIR, name)
+
 
 #: Real-like city scale used by the Fig. 9-11 benches (the smallest scale
 #: at which the Table IV demand concentration makes capacities bind in

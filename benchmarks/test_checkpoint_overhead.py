@@ -23,6 +23,7 @@ import statistics
 import tempfile
 import time
 
+from benchmarks.common import result_path
 from repro.engine import MatcherSpec, PlatformSpec, RunSpec
 from repro.engine.executor import execute_spec, execute_spec_observed
 from repro.obs import telemetry as obs
@@ -48,7 +49,7 @@ CONFIG = SyntheticConfig(
     seed=5,
 )
 
-RESULT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_checkpoint.json")
+RESULT_PATH = result_path("BENCH_checkpoint.json", SMOKE)
 
 
 def _spec(checkpoint_dir=None) -> RunSpec:

@@ -24,6 +24,7 @@ import os
 import statistics
 import tempfile
 
+from benchmarks.common import result_path
 from repro.engine import MatcherSpec, PlatformSpec, RunSpec
 from repro.engine.executor import execute_spec_observed
 from repro.obs import telemetry as obs
@@ -51,7 +52,7 @@ OVERHEAD_BUDGET = 2.0 if SMOKE else 1.05
 #: share of the batch/capacity envelope) must serialize under this.
 BYTES_PER_DECISION_BUDGET = 1024
 
-RESULT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_decision_audit.json")
+RESULT_PATH = result_path("BENCH_decision_audit.json", SMOKE)
 
 
 def _spec() -> RunSpec:

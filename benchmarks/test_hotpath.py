@@ -29,6 +29,7 @@ import time
 
 import numpy as np
 
+from benchmarks.common import result_path
 from repro import perf
 from repro.bandits.neural_ucb import NNUCBBandit
 from repro.core.config import BanditConfig
@@ -63,7 +64,7 @@ COMPARE_CONFIG = SyntheticConfig(
     seed=42,
 )
 
-RESULT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_hotpath.json")
+RESULT_PATH = result_path("BENCH_hotpath.json", SMOKE)
 
 
 def _best_of(repeats, fn):

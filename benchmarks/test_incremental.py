@@ -37,6 +37,7 @@ import time
 
 import numpy as np
 
+from benchmarks.common import result_path
 from repro import perf
 from repro.boosting import CachedUtilityModel, UtilityModel
 from repro.core.config import AssignmentConfig, BanditConfig, LACBConfig
@@ -83,7 +84,7 @@ COMPARE_CONFIG = SyntheticConfig(
     seed=42,
 )
 
-RESULT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_incremental.json")
+RESULT_PATH = result_path("BENCH_incremental.json", SMOKE)
 
 
 def _best_of(repeats, fn):

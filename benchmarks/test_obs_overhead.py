@@ -29,6 +29,7 @@ import os
 import statistics
 import tempfile
 
+from benchmarks.common import result_path
 from repro.engine import MatcherSpec, PlatformSpec, RunSpec
 from repro.engine.executor import execute_spec, execute_spec_observed
 from repro.obs import telemetry as obs
@@ -52,7 +53,7 @@ CONFIG = SyntheticConfig(
 REPEATS = 3 if SMOKE else 5
 OVERHEAD_BUDGET = 2.0 if SMOKE else 1.05
 
-RESULT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_obs_overhead.json")
+RESULT_PATH = result_path("BENCH_obs_overhead.json", SMOKE)
 
 
 def _spec() -> RunSpec:

@@ -37,6 +37,7 @@ import os
 
 import numpy as np
 
+from benchmarks.common import result_path
 from repro.algorithms import make_matcher
 from repro.check.serving import check_serving_equivalence
 from repro.engine.hooks import MetricsCollector
@@ -76,7 +77,7 @@ SWEEP_WINDOWS = (
     (60.0, 0.5, 0.005, 0.0002) if SMOKE else (60.0, 1.0, 0.01, 0.0005, 0.0001)
 )
 
-RESULT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_serving.json")
+RESULT_PATH = result_path("BENCH_serving.json", SMOKE)
 
 
 def _serve(policy, window_seconds=WINDOW_SECONDS, profile="bursty"):

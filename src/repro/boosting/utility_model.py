@@ -28,8 +28,9 @@ def pair_features(
     """Feature rows for (request, broker) pairs.
 
     Combines the interaction terms the platform can compute (district
-    preference fit, house-type fit, price/area gaps) with broker-side
-    covariates (response rate, preference sharpness).
+    preference fit, house-type fit — read from the population's
+    normalized :attr:`~repro.simulation.brokers.BrokerPopulation.fit_tables`
+    — and price/area gaps) with broker-side and request-side covariates.
 
     Args:
         population: the broker pool.
@@ -45,16 +46,9 @@ def pair_features(
     broker_indices = np.asarray(broker_indices, dtype=int)
     if request_indices.shape != broker_indices.shape:
         raise ValueError("request and broker index arrays must have equal length")
-    district = stream.district[request_indices]
-    house_type = stream.house_type[request_indices]
-    district_fit = population.district_pref[broker_indices, district]
-    district_fit = district_fit / np.maximum(
-        population.district_pref[broker_indices].max(axis=1), 1e-12
-    )
-    type_fit = population.type_pref[broker_indices, house_type]
-    type_fit = type_fit / np.maximum(
-        population.type_pref[broker_indices].max(axis=1), 1e-12
-    )
+    tables = population.fit_tables
+    district_fit = tables.district_fit[broker_indices, stream.district[request_indices]]
+    type_fit = tables.type_fit[broker_indices, stream.house_type[request_indices]]
     price_gap = np.abs(stream.price[request_indices] - population.price_pref[broker_indices])
     area_gap = np.abs(stream.area[request_indices] - population.area_pref[broker_indices])
     return np.column_stack(

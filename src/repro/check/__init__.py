@@ -13,7 +13,8 @@ Layers (each usable on its own):
 * :mod:`repro.check.property` — the zero-dependency property-testing
   harness (seeded generators + greedy shrinking).
 * :mod:`repro.check.differential` — cross-implementation oracles
-  (``repro``/``scipy``/``auction``/flow, CBS vs brute force, padding).
+  (``repro``/``scipy``/``auction``/flow, CBS vs brute force, padding,
+  the environment layer vs :mod:`repro.check.reference`).
 * :mod:`repro.check.selfcheck` — the ``repro check`` CLI diagnostic.
 
 ``CheckHook`` and the selfcheck entry points are exported lazily:

@@ -32,6 +32,10 @@ The agreements checked:
   of the frozen network) vs the per-broker ``estimate`` loop: equal
   capacities, bit-identical covariance / pull counts / RNG state, and
   equal audit notes with the bonus inside :data:`BATCHED_BONUS_RTOL`.
+* the tabulated environment layer (:mod:`repro.simulation.utility` fit
+  tables, pair-only scoring at submit) vs the term-by-term formulas of
+  :mod:`repro.check.reference`, over whole multi-day platform runs: bit
+  for bit.
 """
 
 from __future__ import annotations
@@ -424,3 +428,135 @@ def assert_batched_estimation_matches(case: dict) -> None:
                 f"batched bonus {a!r} vs per-broker {b!r} exceeds rtol "
                 f"{BATCHED_BONUS_RTOL} in {where}"
             )
+
+
+def _assert_same(where: str, what: str, new, reference) -> None:
+    """Bitwise equality of two arrays: shape, dtype and every byte."""
+    new, reference = np.asarray(new), np.asarray(reference)
+    if (new.shape, new.dtype) != (reference.shape, reference.dtype) or (
+        new.tobytes() != reference.tobytes()
+    ):
+        raise AssertionError(f"{what} is not bitwise the reference one {where}")
+
+
+def _assert_same_platform_state(where: str, platform, reference) -> None:
+    from repro.state.protocol import rng_state
+
+    for name in ("_today_affinity", "_today_workload"):
+        _assert_same(where, name, getattr(platform, name), getattr(reference, name))
+    _assert_same(
+        where, "base_quality", platform.population.base_quality, reference.population.base_quality
+    )
+    if rng_state(platform._rng) != rng_state(reference._rng):
+        raise AssertionError(f"outcome RNG state differs from the reference {where}")
+    for name in ("_blocked_pairs", "_requeued"):
+        if getattr(platform, name) != getattr(reference, name):
+            raise AssertionError(
+                f"{name} {getattr(platform, name)!r} != reference "
+                f"{getattr(reference, name)!r} {where}"
+            )
+
+
+def assert_environment_matches_reference(case: dict) -> None:
+    """The tabulated environment layer equals the term-by-term formulas, bit for bit.
+
+    Builds the case's city twice — the shipped :class:`RealEstatePlatform`
+    and :class:`repro.check.reference.ReferencePlatform` on a deep copy of
+    the same population, with the same preference rows zeroed in both —
+    and drives both through every day with the same random assignments
+    (unassigned requests, blocked pairs and appeal re-queues included).
+    Per batch it compares the request ids, ``match_score``,
+    ``ground_truth_affinity``, ``pair_affinity`` on random (request,
+    broker) pairs, ``predicted_utilities`` with the blocked pairs zeroed,
+    and after each submit ``_today_affinity``, ``_today_workload``,
+    ``base_quality``, the outcome RNG state, ``_blocked_pairs`` and
+    ``_requeued``; per day the contexts and every ``DayOutcome`` field.
+
+    Args:
+        case: a :func:`repro.check.property.random_environment_case` dict.
+    """
+    import copy
+
+    from repro.check.reference import (
+        ReferencePlatform,
+        reference_affinity,
+        reference_match_score,
+    )
+    from repro.core.types import AssignedPair, Assignment
+    from repro.simulation.datasets import SyntheticConfig, generate_city
+    from repro.simulation.utility import ground_truth_affinity, match_score, pair_affinity
+
+    config = SyntheticConfig(
+        num_brokers=case["brokers"],
+        num_requests=case["requests"],
+        num_days=case["days"],
+        imbalance=case["imbalance"],
+        num_districts=case["districts"],
+        appeal_rate=case["appeal_rate"],
+        skill_growth=case["skill_growth"],
+        seed=case["seed"],
+    )
+    platform = generate_city(config)
+    population, stream = platform.population, platform.stream
+    population.district_pref[case["zero_district_rows"]] = 0.0
+    population.type_pref[case["zero_type_rows"]] = 0.0
+    reference = ReferencePlatform(
+        copy.deepcopy(population),
+        stream,
+        appeal_rate=platform.appeal_rate,
+        signup_noise=platform.signup_noise,
+        skill_growth=platform.skill_growth,
+    )
+    reference.restore(platform.snapshot())
+    twin = reference.population
+
+    policy = np.random.default_rng(case["seed"] + 1)
+    num_brokers = platform.num_brokers
+    for day in range(platform.num_days):
+        where = f"on day {day} of {case!r}"
+        _assert_same(where, "contexts", platform.start_day(day), reference.start_day(day))
+        for batch in range(platform.batches_per_day):
+            where = f"in batch {batch} of day {day} of {case!r}"
+            ids = platform.batch_requests(day, batch)
+            _assert_same(where, "batch request ids", ids, reference.batch_requests(day, batch))
+            _assert_same(
+                where,
+                "match_score",
+                match_score(population, stream, ids),
+                reference_match_score(twin, stream, ids),
+            )
+            affinity = reference_affinity(twin, stream, ids)
+            _assert_same(
+                where, "ground_truth_affinity", ground_truth_affinity(population, stream, ids), affinity
+            )
+            rows = policy.integers(0, ids.size, size=ids.size) if ids.size else ids
+            columns = policy.integers(0, num_brokers, size=rows.size)
+            _assert_same(
+                where,
+                "pair_affinity",
+                pair_affinity(population, stream, ids[rows], columns),
+                affinity[rows, columns],
+            )
+            utilities = platform.predicted_utilities(ids)
+            _assert_same(where, "predicted_utilities", utilities, reference.predicted_utilities(ids))
+            matched = min(ids.size, num_brokers, int(policy.integers(0, ids.size + 1)))
+            requests = policy.permutation(ids.size)[:matched]
+            brokers = policy.permutation(num_brokers)[:matched]
+            assignment = Assignment(
+                day,
+                batch,
+                [
+                    AssignedPair(int(ids[row]), int(broker), float(utilities[row, broker]))
+                    for row, broker in zip(requests, brokers)
+                ],
+            )
+            platform.submit_assignment(assignment)
+            reference.submit_assignment(assignment)
+            _assert_same_platform_state(where, platform, reference)
+        outcome, expected = platform.finish_day(), reference.finish_day()
+        where = f"at the close of day {day} of {case!r}"
+        if outcome.day != expected.day:
+            raise AssertionError(f"DayOutcome.day {outcome.day} != {expected.day} {where}")
+        for name in ("workloads", "signup_rates", "realized_utility"):
+            _assert_same(where, f"DayOutcome.{name}", getattr(outcome, name), getattr(expected, name))
+        _assert_same_platform_state(where, platform, reference)

@@ -283,6 +283,36 @@ def random_estimation_case(rng: np.random.Generator) -> dict:
     }
 
 
+def random_environment_case(rng: np.random.Generator) -> dict:
+    """A small multi-day city for the environment-layer oracle (plain data).
+
+    Varies the pool size, district count, horizon and batch size (down to
+    single-request batches), turns appeals (and so re-queued request ids
+    and blocked pairs) and learning-by-doing on and off, and zeroes whole
+    district or house-type preference rows so the row-maximum floor is
+    exercised.
+    """
+    brokers = int(rng.integers(1, 41))
+    days = int(rng.integers(1, 4))
+
+    def zero_rows() -> list[int]:
+        count = int(rng.choice([0, 0, 1, 2]))
+        return sorted(int(b) for b in rng.permutation(brokers)[:count])
+
+    return {
+        "brokers": brokers,
+        "districts": int(rng.integers(1, 10)),
+        "days": days,
+        "requests": int(rng.integers(days, 60 * days + 1)),
+        "imbalance": float(rng.choice([0.01, 0.05, 0.2, 0.6])),
+        "appeal_rate": float(rng.choice([0.0, 0.0, 0.3, 0.9])),
+        "skill_growth": float(rng.choice([0.0, 0.05])),
+        "zero_district_rows": zero_rows(),
+        "zero_type_rows": zero_rows(),
+        "seed": int(rng.integers(0, 2**31)),
+    }
+
+
 def random_perturbation_sequence(
     rng: np.random.Generator,
     max_rows: int = 8,

@@ -12,8 +12,9 @@ Runs the whole correctness layer against a small simulated city:
    :mod:`repro.check.differential` over randomized instances: backend
    agreement, square-padding agreement, CBS preservation, warm-started
    incremental KM vs cold solves over perturbation sequences, top-k
-   selection vs brute force, batched MLP scoring, and day-batched
-   capacity estimation vs the per-broker loop.
+   selection vs brute force, batched MLP scoring, day-batched
+   capacity estimation vs the per-broker loop, and the tabulated
+   environment layer vs the term-by-term utility formulas.
 
 Everything found comes back in one :class:`SelfCheckReport`; the CLI
 renders it and exits nonzero when any violation survived.
@@ -176,6 +177,12 @@ def _run_property_phase(
             "property.batched_estimation_matches",
             differential.assert_batched_estimation_matches,
             prop.random_estimation_case,
+            None,
+        ),
+        (
+            "property.environment_matches_reference",
+            differential.assert_environment_matches_reference,
+            prop.random_environment_case,
             None,
         ),
     ]

@@ -145,6 +145,17 @@ def _validated(factory, **kwargs):
         raise UsageError(str(exc)) from None
 
 
+def _require(option: str, ok: bool, requirement: str, value) -> None:
+    """Reject an option value the library would only refuse mid-run.
+
+    Raises:
+        UsageError: naming the option as typed, e.g. ``--scale must be in
+            (0, 1], got 0.0``.
+    """
+    if not ok:
+        raise UsageError(f"{option} {requirement}, got {value!r}")
+
+
 def _config_from(args: argparse.Namespace) -> SyntheticConfig:
     return _validated(
         SyntheticConfig,
@@ -215,6 +226,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 
 def _cmd_city(args: argparse.Namespace) -> None:
+    _require("--scale", 0.0 < args.scale <= 1.0, "must be in (0, 1]", args.scale)
     evaluation = evaluate_city(
         args.city,
         scale=args.scale,
@@ -268,6 +280,7 @@ def _cmd_motivate(args: argparse.Namespace) -> None:
 
 
 def _cmd_develop(args: argparse.Namespace) -> None:
+    _require("--growth", args.growth >= 0.0, "must be non-negative", args.growth)
     config = _config_from(args)
     config = type(config)(**{**config.__dict__, "skill_growth": args.growth})
     from repro.experiments.metrics import gini
@@ -334,6 +347,13 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         return
 
     platform_spec = PlatformSpec.synthetic(_config_from(args))
+    _require("--window-seconds", args.window_seconds > 0.0, "must be positive", args.window_seconds)
+    _require(
+        "--burst-amplitude",
+        0.0 <= args.burst_amplitude < 2.0,
+        "must be in [0, 2)",
+        args.burst_amplitude,
+    )
     max_wait = args.max_wait if args.max_wait is not None else args.window_seconds
     policy = _validated(MicroBatchPolicy, max_wait=max_wait, max_size=args.max_size)
     rows = []

@@ -8,11 +8,13 @@ capacity-response curve the contextual bandit must discover online.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.simulation.attributes import HOUSE_TYPES, BrokerProfile, generate_profile
 from repro.simulation.response import ResponseCurve, sample_response_curve
+from repro.simulation.utility import BrokerFitTables
 
 
 @dataclass
@@ -70,6 +72,15 @@ class BrokerPopulation:
     def context_dim(self) -> int:
         """Dimension of the static part of the working-status context."""
         return self.static_context.shape[1]
+
+    @cached_property
+    def fit_tables(self) -> BrokerFitTables:
+        """Static preference-fit tables, built on first use.
+
+        They read only the preference rows and response rates, which never
+        change after generation.
+        """
+        return BrokerFitTables.build(self)
 
 
 def generate_population(

@@ -20,7 +20,11 @@ import numpy as np
 from repro.core.types import Assignment, DayOutcome
 from repro.simulation.brokers import BrokerPopulation
 from repro.simulation.requests import RequestStream
-from repro.simulation.utility import ground_truth_affinity, predicted_utility
+from repro.simulation.utility import (
+    ground_truth_affinity,
+    pair_affinity,
+    predicted_utility,
+)
 from repro.state.protocol import (
     StateError,
     expect,
@@ -234,22 +238,21 @@ class RealEstatePlatform:
             return
         request_ids = np.array([pair.request_id for pair in assignment.pairs], dtype=int)
         broker_ids = np.array([pair.broker_id for pair in assignment.pairs], dtype=int)
-        affinity = ground_truth_affinity(self.population, self.stream, request_ids)
-        pair_affinity = affinity[np.arange(len(request_ids)), broker_ids]
+        affinity = pair_affinity(self.population, self.stream, request_ids, broker_ids)
 
         if self.appeal_rate > 0.0:
             # A client's appeal propensity scales with how much worse the
             # assigned broker fits than the best broker available for that
             # request (Sec. VI-B's dissatisfaction mechanism).
-            row_best = affinity.max(axis=1)
-            appeal_prob = self.appeal_rate * (1.0 - pair_affinity / row_best)
+            row_best = ground_truth_affinity(self.population, self.stream, request_ids).max(axis=1)
+            appeal_prob = self.appeal_rate * (1.0 - affinity / row_best)
             appealed = self._rng.random(len(request_ids)) < appeal_prob
         else:
             appealed = np.zeros(len(request_ids), dtype=bool)
 
         served = ~appealed
         np.add.at(self._today_workload, broker_ids[served], 1)
-        np.add.at(self._today_affinity, broker_ids[served], pair_affinity[served])
+        np.add.at(self._today_affinity, broker_ids[served], affinity[served])
 
         next_batch = assignment.batch + 1
         for request_id, broker_id in zip(request_ids[appealed], broker_ids[appealed]):

@@ -58,3 +58,37 @@ def test_predictions_clipped_to_unit_interval(tiny_platform, rng):
     matrix = model.predict_matrix(tiny_platform.population, tiny_platform.stream, np.arange(5))
     assert matrix.min() >= 1e-6
     assert matrix.max() <= 1.0
+
+
+def _row_max_features(population, stream, requests, brokers):
+    """District and house-type fit as the feature builder first derived them:
+    row maxima re-taken from the raw preference rows on every call."""
+    district_fit = population.district_pref[brokers, stream.district[requests]]
+    district_fit = district_fit / np.maximum(population.district_pref[brokers].max(axis=1), 1e-12)
+    type_fit = population.type_pref[brokers, stream.house_type[requests]]
+    type_fit = type_fit / np.maximum(population.type_pref[brokers].max(axis=1), 1e-12)
+    return district_fit, type_fit
+
+
+def test_pair_features_bitwise_equal_row_max_builder(tiny_platform, rng):
+    population, stream = tiny_platform.population, tiny_platform.stream
+    requests = rng.integers(0, len(stream), size=300)
+    brokers = rng.integers(0, len(population), size=300)
+    features = pair_features(population, stream, requests, brokers)
+    district_fit, type_fit = _row_max_features(population, stream, requests, brokers)
+    np.testing.assert_array_equal(features[:, 0], district_fit)
+    np.testing.assert_array_equal(features[:, 1], type_fit)
+
+
+def test_pair_features_zero_preference_row_scores_zero(tiny_config):
+    from repro.simulation import generate_city
+
+    platform = generate_city(tiny_config)
+    population, stream = platform.population, platform.stream
+    population.district_pref[2] = 0.0  # before the fit tables are first built
+    requests = np.arange(20)
+    brokers = np.full(20, 2)
+    features = pair_features(population, stream, requests, brokers)
+    district_fit, _ = _row_max_features(population, stream, requests, brokers)
+    np.testing.assert_array_equal(features[:, 0], district_fit)
+    assert not features[:, 0].any()

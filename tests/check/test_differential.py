@@ -251,3 +251,94 @@ def test_batched_estimation_assert_catches_bonus_outside_tolerance(monkeypatch):
         differential.assert_batched_estimation_matches(
             _estimation_case(kind="nnucb", epsilon=0.0, min_arm_pulls=0)
         )
+
+
+def test_environment_matches_reference_on_randomized_cities():
+    count = run_property(
+        differential.assert_environment_matches_reference,
+        prop.random_environment_case,
+        num_cases=60,
+        seed=109,
+        name="environment_matches_reference",
+    )
+    assert count == 60
+
+
+def _environment_case(**overrides):
+    case = {
+        "brokers": 12,
+        "districts": 4,
+        "days": 3,
+        "requests": 90,
+        "imbalance": 0.2,
+        "appeal_rate": 0.9,
+        "skill_growth": 0.05,
+        "zero_district_rows": [3],
+        "zero_type_rows": [3, 7],
+        "seed": 5,
+    }
+    case.update(overrides)
+    return case
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},  # appeals re-queue requests; skill growth across finish_day
+        {"appeal_rate": 0.0, "skill_growth": 0.0},
+        {"imbalance": 0.01},  # single-request batches
+        {"districts": 1, "brokers": 1, "zero_type_rows": [0], "zero_district_rows": [0]},
+    ],
+)
+def test_environment_matches_reference_each_regime(overrides):
+    differential.assert_environment_matches_reference(_environment_case(**overrides))
+
+
+def test_environment_assert_catches_appeal_drift(monkeypatch):
+    """The default case appeals and re-queues: a row maximum taken over a
+    perturbed matrix changes which requests appeal."""
+    import repro.simulation.platform as platform_module
+
+    real = platform_module.ground_truth_affinity
+
+    def shrunk(*args):
+        return real(*args) * 0.9
+
+    monkeypatch.setattr(platform_module, "ground_truth_affinity", shrunk)
+    with pytest.raises(AssertionError, match="_today_|_blocked_pairs|_requeued|RNG"):
+        differential.assert_environment_matches_reference(_environment_case())
+
+
+def test_environment_assert_catches_reassociated_sum(monkeypatch):
+    from repro.simulation.utility import MATCH_WEIGHTS, BrokerFitTables
+
+    real = BrokerFitTables.build.__func__
+
+    def folded(cls, population):
+        # Adds the response term into the table: same terms, other order.
+        tables = real(cls, population)
+        return cls(
+            tables.district_fit,
+            tables.type_fit,
+            tables.categorical + MATCH_WEIGHTS["response"] * population.response_rate,
+            np.zeros_like(tables.response),
+        )
+
+    monkeypatch.setattr(BrokerFitTables, "build", classmethod(folded))
+    with pytest.raises(AssertionError, match="match_score"):
+        differential.assert_environment_matches_reference(_environment_case())
+
+
+def test_environment_assert_catches_submit_drift(monkeypatch):
+    import repro.simulation.platform as platform_module
+
+    real = platform_module.pair_affinity
+
+    def drifting(*args):
+        return real(*args) * (1.0 + 1e-15)
+
+    monkeypatch.setattr(platform_module, "pair_affinity", drifting)
+    with pytest.raises(AssertionError, match="_today_affinity"):
+        differential.assert_environment_matches_reference(
+            _environment_case(appeal_rate=0.0)
+        )

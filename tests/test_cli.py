@@ -245,7 +245,7 @@ def test_check_command_writes_report(capsys, tmp_path):
     payload = json.loads((report_dir / "check_report.json").read_text())
     assert payload["ok"] is True
     assert payload["violations"] == []
-    assert payload["property_cases"] == 40  # 8 suites x 5 cases
+    assert payload["property_cases"] == 45  # 9 suites x 5 cases
 
 
 def test_compare_with_check_flag(capsys):
@@ -508,6 +508,10 @@ def test_serve_equivalence_end_to_end(capsys):
     [
         (["compare", "--brokers", "0"], "num_brokers"),
         (["serve", "--max-wait", "0"], "max_wait must be positive"),
+        (["serve", "--window-seconds", "0"], "--window-seconds must be positive"),
+        (["serve", "--burst-amplitude", "2"], "--burst-amplitude must be in [0, 2)"),
+        (["city", "A", "--scale", "0"], "--scale must be in (0, 1]"),
+        (["develop", "--growth", "-1"], "--growth must be non-negative"),
     ],
 )
 def test_invalid_config_exits_2_with_one_error_line(capsys, argv, message):
